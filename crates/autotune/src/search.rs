@@ -51,9 +51,11 @@ impl Default for SearchSpace {
 
 impl SearchSpace {
     /// Candidate Schwarz blocks for a local lattice: per-direction even
-    /// divisors of the local extent, volume within bounds, and tiling
-    /// the local volume an *even* number of times so the red/black
-    /// coloring exists. Canonically ordered (volume, then extents).
+    /// divisors of the local extent, volume within bounds, tiling the
+    /// local volume an *even* number of times so the red/black coloring
+    /// exists, and an xy cross-section with a compiled fused kernel
+    /// ([`qdd_lattice::fused_lanes`]). Canonically ordered (volume, then
+    /// extents).
     pub fn blocks(&self, local: &Dims) -> Vec<Dims> {
         let axis_divisors: Vec<Vec<usize>> = (0..4)
             .map(|i| {
@@ -71,7 +73,9 @@ impl SearchSpace {
                         if vb < self.min_block_volume || vb > self.max_block_volume {
                             continue;
                         }
-                        if !local.volume().is_multiple_of(2 * vb) {
+                        if !local.volume().is_multiple_of(2 * vb)
+                            || qdd_lattice::fused_lanes(&block).is_err()
+                        {
                             continue;
                         }
                         out.push(block);
@@ -337,6 +341,19 @@ mod tests {
         for w in blocks.windows(2) {
             assert!(w[0].volume() <= w[1].volume());
         }
+    }
+
+    #[test]
+    fn blocks_have_a_compiled_fused_kernel() {
+        // 24x24 cross-sections offer 4x6, 6x4, 6x8, ... with lane counts
+        // outside the compiled set; none may be proposed.
+        let blocks = SearchSpace::default().blocks(&Dims::new(24, 24, 12, 16));
+        for b in &blocks {
+            let lanes = b.0[0] * b.0[1] / 2;
+            assert!(qdd_lattice::FUSED_LANES.contains(&lanes), "{b}: {lanes} lanes");
+        }
+        assert!(!blocks.iter().any(|b| b.0[..2] == [4, 6]));
+        assert!(blocks.iter().any(|b| b.0[..2] == [4, 4]));
     }
 
     #[test]

@@ -1,12 +1,24 @@
 //! Criterion bench: the MR block solve (Table II left column, as a real
-//! measured kernel) — scalar Schur path, paper parameters Idomain = 5.
+//! measured kernel), paper parameters Idomain = 5, on one 8x4x4x4 f32
+//! domain:
+//!
+//! - `idomain5_f32`: the scalar AoS MR solve alone;
+//! - `domain_update_scalar_f32`: the scalar block update the Schwarz
+//!   sweeps ran before the tile engine (residual, Schur right-hand side,
+//!   MR, odd reconstruction, scatter), kept as the reference;
+//! - `domain_update_fused_f32`: the same update on the production fused
+//!   tile engine ([`DomainSolver`]).
+//!
+//! The last two give the per-domain time ratio of `M`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use qdd_bench::test_operator;
+use qdd_core::domain_solve::DomainSolver;
 use qdd_core::mr::{mr_solve_schur, MrConfig};
 use qdd_dirac::block::{DomainFields, SchurOperator};
+use qdd_field::fields::SpinorField;
 use qdd_field::spinor::Spinor;
-use qdd_lattice::{Dims, DomainGrid};
+use qdd_lattice::{Dims, DomainGrid, Parity};
 use qdd_util::rng::Rng64;
 use std::hint::black_box;
 
@@ -36,7 +48,40 @@ fn bench_mr(c: &mut Criterion) {
             black_box(out);
         })
     });
+
+    // Full block updates of domain 0 from a random iterate.
+    let f = SpinorField::<f32>::random(dims, &mut rng);
+    let iterate = SpinorField::<f32>::random(dims, &mut rng);
+    let au = |g: usize| op.apply_site_with(g, |i| *iterate.site(i));
+    let mut out = SpinorField::<f32>::zeros(dims);
+
+    let even_sites = schur.global_cb_indices(Parity::Even);
+    let odd_sites = schur.global_cb_indices(Parity::Odd);
+    group.bench_function("domain_update_scalar_f32", |b| {
+        b.iter(|| {
+            let r_e: Vec<_> = even_sites.iter().map(|&g| f.site(g).sub(au(g))).collect();
+            let r_o: Vec<_> = odd_sites.iter().map(|&g| f.site(g).sub(au(g))).collect();
+            let mut rhs = vec![Spinor::ZERO; n];
+            schur.prepare_rhs(&mut rhs, &r_e, &r_o, &mut scratch);
+            let mut z_e = vec![Spinor::ZERO; n];
+            mr_solve_schur(&schur, &cfg, &mut z_e, &rhs, &mut r, &mut q, &mut scratch);
+            let mut z_o = vec![Spinor::ZERO; n];
+            schur.reconstruct_odd(&mut z_o, &z_e, &r_o);
+            schur.scatter_add_cb(&mut out, &z_e, Parity::Even);
+            schur.scatter_add_cb(&mut out, &z_o, Parity::Odd);
+        })
+    });
+
+    let engine = DomainSolver::new(&op, &grid, cfg).unwrap();
+    let mut worker = engine.worker();
+    group.bench_function("domain_update_fused_f32", |b| {
+        b.iter(|| {
+            black_box(worker.solve(0, black_box(&f), au));
+            worker.scatter_add(|g, v| *out.site_mut(g) = out.site(g).add(v));
+        })
+    });
     group.finish();
+    black_box(out);
 }
 
 criterion_group! {

@@ -24,21 +24,19 @@
 //! colors would put adjacent domains in the same half-sweep.
 
 use crate::runtime::{CommError, FacePart, HaloScalar, RankCtx};
+use qdd_core::domain_solve::DomainSolver;
 use qdd_core::mr::MrConfig;
 use qdd_core::pool::{
     blocked_ranges, resolve_workers, LeaderOnly, SharedCells, SharedSpinors, SpinBarrier,
     WorkerPool,
 };
-use qdd_core::schwarz::{
-    plan_color_schedule, schwarz_block_update, ColorSchedule, FaceHalf, SchwarzConfig, SendSlot,
-};
-use qdd_dirac::block::{DomainFields, SchurOperator};
+use qdd_core::schwarz::{plan_color_schedule, ColorSchedule, FaceHalf, SchwarzConfig, SendSlot};
 use qdd_dirac::boundary::{pack_sites_for_backward_hop_with, pack_sites_for_forward_hop_with};
 use qdd_dirac::wilson::WilsonClover;
 use qdd_field::fields::SpinorField;
 use qdd_field::halo::{face_index, HaloData};
 use qdd_field::spinor::{HalfSpinor, HalfSpinorF16, Spinor};
-use qdd_lattice::{Dir, DomainColor, DomainGrid, Parity, SiteIndexer};
+use qdd_lattice::{Dir, DomainColor, DomainGrid, SiteIndexer};
 use qdd_util::stats::{Component, SolveStats};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -70,7 +68,7 @@ struct RecvSlot {
 pub struct DistSchwarz<'a, T: HaloScalar> {
     ctx: &'a RankCtx<'a>,
     op: &'a WilsonClover<T>,
-    fields: DomainFields<T>,
+    domains: DomainSolver<T>,
     grid: DomainGrid,
     cfg: SchwarzConfig,
     /// `face_sites[d][o][c]`: local site indices on our face `o`
@@ -168,11 +166,11 @@ impl<'a, T: HaloScalar> DistSchwarz<'a, T> {
             plan_color_schedule(&grid, split, &colors[1], cfg.overlap),
         ];
 
-        let fields = DomainFields::new(op)?;
+        let domains = DomainSolver::new(op, &grid, cfg.mr)?;
         Some(Self {
             ctx,
             op,
-            fields,
+            domains,
             grid,
             cfg,
             face_sites,
@@ -402,15 +400,14 @@ impl<'a, T: HaloScalar> DistSchwarz<'a, T> {
         let ledger_cells = (Cell::new(0.0f64), Cell::new(0.0f64));
         let ledger = LeaderOnly::new(&ledger_cells);
         let op = self.op;
-        let fields = &self.fields;
-        let grid = &self.grid;
-        let mr = &self.cfg.mr;
+        let domains = &self.domains;
         let schedules = &self.schedules;
 
         self.pool.run(&|w| {
             let sense = Cell::new(false);
             let mut rec = sink.thread(w as u32 + 1);
             rec.begin(qdd_trace::Phase::PoolJob);
+            let mut worker = domains.worker();
             let mut flops = 0.0;
             // Receives deferred from the previous half-sweep (leader-only
             // state; empty on every other worker).
@@ -473,21 +470,10 @@ impl<'a, T: HaloScalar> DistSchwarz<'a, T> {
                         // round barrier.
                         let fetch = |i: usize| unsafe { shared.read(i) };
                         let halo = unsafe { halo_cell.get(0) };
-                        let schur = SchurOperator::new(op, fields, grid.domain(dom_idx));
                         let au =
                             |g: usize| op.apply_site_with_halo_fetch_split(g, fetch, halo, split);
-                        let (z_e, z_o, fl) = schwarz_block_update(&schur, mr, f, au);
-                        schur.scatter_add_cb_with(
-                            |g, v| unsafe { shared.add(g, v) },
-                            &z_e,
-                            Parity::Even,
-                        );
-                        schur.scatter_add_cb_with(
-                            |g, v| unsafe { shared.add(g, v) },
-                            &z_o,
-                            Parity::Odd,
-                        );
-                        flops += fl;
+                        flops += worker.solve(dom_idx, f, au);
+                        worker.scatter_add(|g, v| unsafe { shared.add(g, v) });
                         rec.end(qdd_trace::Phase::DomainSolve);
                     }
                     barrier.wait(&sense);

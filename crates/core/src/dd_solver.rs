@@ -134,7 +134,7 @@ pub struct DdSolver {
 impl DdSolver {
     /// Build the solver. The f32 (or f16-compressed) preconditioner
     /// operator is derived from the double-precision `op`. Returns `None`
-    /// if a clover site block is singular.
+    /// if a clover block the domain solves invert (odd sites) is singular.
     pub fn new(op: WilsonClover<f64>, cfg: DdSolverConfig) -> Option<Self> {
         let op32 = match cfg.precision {
             Precision::Single => op.cast::<f32>(),

@@ -11,7 +11,8 @@
 //!   ([`schwarz`]), single precision (optionally with half-precision gauge
 //!   and clover storage);
 //! - block solver: minimal residual ([`mr`]) on the even-odd Schur
-//!   complement, a fixed small number of iterations per block.
+//!   complement, a fixed small number of iterations per block, run on
+//!   site-fused SoA tiles by the domain-solve engine ([`domain_solve`]).
 //!
 //! Baselines (paper Table III): double-precision BiCGstab
 //! ([`bicgstab`]) and a mixed-precision Richardson/BiCGstab solver
@@ -25,6 +26,7 @@ pub mod bicgstab;
 pub mod blas;
 pub mod cg;
 pub mod dd_solver;
+pub mod domain_solve;
 pub mod fgmres_dr;
 pub mod gcr;
 pub mod mr;
@@ -37,11 +39,12 @@ pub mod system;
 pub use bicgstab::{bicgstab, BiCgStabConfig};
 pub use cg::{cgnr, CgConfig};
 pub use dd_solver::{DdSolver, DdSolverConfig, Precision};
+pub use domain_solve::{DomainSolver, DomainWorker};
 pub use fgmres_dr::{fgmres_dr, fgmres_dr_with_workspace, Breakdown, FgmresConfig, SolveOutcome};
 pub use gcr::{gcr, GcrConfig};
 pub use mr::{mr_solve_schur, MrConfig};
 pub use pool::{resolve_workers, SharedCells, WorkerPool, WorkspacePool};
 pub use richardson::{richardson_bicgstab, RichardsonConfig};
-pub use schwarz::{schwarz_block_update, SchwarzConfig, SchwarzPreconditioner};
+pub use schwarz::{SchwarzConfig, SchwarzPreconditioner};
 pub use stage::{ChunkQueue, StageGate};
 pub use system::{FusedSystem, LocalSystem, SystemOps};

@@ -5,6 +5,10 @@
 //! lets the whole block solve run from a KNC core's L2 cache. The block is
 //! the even-odd Schur complement `D~ee` (Eq. (5)); typically
 //! `Idomain = 4..5` iterations suffice for a useful preconditioner.
+//!
+//! [`mr_solve_schur`] is the scalar AoS form, kept as the test and bench
+//! oracle; the Schwarz sweeps run the same iteration on site-fused tiles
+//! in [`domain_solve`](crate::domain_solve).
 
 use crate::blas;
 use qdd_dirac::block::SchurOperator;

@@ -7,17 +7,20 @@
 //! variant). The additive variant (all domains updated from the same
 //! frozen iterate) is provided for comparison.
 //!
+//! Every domain solve — serial, additive, pooled, and distributed
+//! (`qdd-comm::dist_schwarz`) — runs on the one fused-tile engine of
+//! [`domain_solve`](crate::domain_solve).
+//!
 //! The preconditioner is deliberately *stateless across applications* — it
 //! returns `u ~= A^-1 f` from `u0 = 0` — exactly what a flexible outer
 //! solver expects.
 
-use crate::mr::{mr_solve_schur, MrConfig};
+use crate::domain_solve::DomainSolver;
+use crate::mr::MrConfig;
 use crate::pool::{blocked_ranges, SharedSpinors, SpinBarrier, WorkerPool};
-use qdd_dirac::block::{DomainFields, SchurOperator};
 use qdd_dirac::wilson::WilsonClover;
 use qdd_field::fields::SpinorField;
-use qdd_field::spinor::Spinor;
-use qdd_lattice::{Dims, DomainColor, DomainGrid, Parity};
+use qdd_lattice::{Dims, DomainColor, DomainGrid};
 use qdd_util::complex::Real;
 use qdd_util::stats::{Component, SolveStats};
 use std::cell::Cell;
@@ -197,7 +200,7 @@ pub fn plan_color_schedule(
 /// The assembled preconditioner for one operator.
 pub struct SchwarzPreconditioner<T: Real> {
     op: WilsonClover<T>,
-    fields: DomainFields<T>,
+    domains: DomainSolver<T>,
     grid: DomainGrid,
     cfg: SchwarzConfig,
     colors: [Vec<usize>; 2],
@@ -205,13 +208,18 @@ pub struct SchwarzPreconditioner<T: Real> {
 
 impl<T: Real> SchwarzPreconditioner<T> {
     /// Build from an operator (typically the f32 cast of the outer
-    /// operator). Returns `None` if a clover block is singular.
+    /// operator). Returns `None` if an odd-site clover block (the one the
+    /// even-odd block solve inverts) is singular.
+    ///
+    /// # Panics
+    /// If `cfg.block` has no compiled fused kernel (see
+    /// [`qdd_lattice::fused_lanes`]).
     pub fn new(op: WilsonClover<T>, cfg: SchwarzConfig) -> Option<Self> {
         let grid = DomainGrid::new(*op.dims(), cfg.block);
-        let fields = DomainFields::new(&op)?;
+        let domains = DomainSolver::new(&op, &grid, cfg.mr)?;
         let colors =
             [grid.domains_of_color(DomainColor::Black), grid.domains_of_color(DomainColor::White)];
-        Some(Self { op, fields, grid, cfg, colors })
+        Some(Self { op, domains, grid, cfg, colors })
     }
 
     #[inline]
@@ -229,54 +237,37 @@ impl<T: Real> SchwarzPreconditioner<T> {
         &self.cfg
     }
 
-    /// Compute the update `(z_e, z_o)` for one domain from the current
-    /// iterate (read through `fetch`), and the flops spent.
-    #[allow(clippy::type_complexity)]
-    fn block_update<F: Fn(usize) -> Spinor<T>>(
-        &self,
-        dom_idx: usize,
-        f: &SpinorField<T>,
-        fetch: F,
-    ) -> (SchurOperator<'_, T>, Vec<Spinor<T>>, Vec<Spinor<T>>, f64) {
-        let schur = SchurOperator::new(&self.op, &self.fields, self.grid.domain(dom_idx));
-        let au = |g: usize| self.op.apply_site_with(g, &fetch);
-        let (z_e, z_o, flops) = schwarz_block_update(&schur, &self.cfg.mr, f, au);
-        (schur, z_e, z_o, flops)
-    }
-
     /// Apply the preconditioner serially: returns `u ~= A^-1 f`.
     pub fn apply(&self, f: &SpinorField<T>, stats: &mut SolveStats) -> SpinorField<T> {
         assert_eq!(f.dims(), self.op.dims());
         let mut u = SpinorField::zeros(*f.dims());
+        let mut worker = self.domains.worker();
         let mut flops = 0.0;
         for _ in 0..self.cfg.i_schwarz {
             stats.span_begin(qdd_trace::Phase::SchwarzSweep);
             if self.cfg.additive {
-                // All updates from the frozen iterate.
-                let mut updates = Vec::with_capacity(self.grid.num_domains());
+                // All updates from the frozen iterate; domains are
+                // disjoint, so each site of `du` is written once.
+                let mut du = SpinorField::zeros(*f.dims());
                 for dom_idx in 0..self.grid.num_domains() {
                     stats.span_begin(qdd_trace::Phase::DomainSolve);
-                    let (_, z_e, z_o, fl) = self.block_update(dom_idx, f, |i| *u.site(i));
+                    flops +=
+                        worker.solve(dom_idx, f, |g| self.op.apply_site_with(g, |i| *u.site(i)));
+                    worker.scatter_add(|g, v| *du.site_mut(g) = v);
                     stats.span_end(qdd_trace::Phase::DomainSolve);
-                    updates.push((dom_idx, z_e, z_o));
-                    flops += fl;
                 }
-                for (dom_idx, z_e, z_o) in updates {
-                    let schur =
-                        SchurOperator::new(&self.op, &self.fields, self.grid.domain(dom_idx));
-                    schur.scatter_add_cb(&mut u, &z_e, Parity::Even);
-                    schur.scatter_add_cb(&mut u, &z_o, Parity::Odd);
+                for (ui, di) in u.as_mut_slice().iter_mut().zip(du.as_slice()) {
+                    *ui = ui.add(*di);
                 }
             } else {
                 for color in DomainColor::ALL {
                     stats.span_begin(qdd_trace::Phase::ColorSweep);
                     for &dom_idx in &self.colors[color as usize] {
                         stats.span_begin(qdd_trace::Phase::DomainSolve);
-                        let (schur, z_e, z_o, fl) = self.block_update(dom_idx, f, |i| *u.site(i));
-                        schur.scatter_add_cb(&mut u, &z_e, Parity::Even);
-                        schur.scatter_add_cb(&mut u, &z_o, Parity::Odd);
+                        flops += worker
+                            .solve(dom_idx, f, |g| self.op.apply_site_with(g, |i| *u.site(i)));
+                        worker.scatter_add(|g, v| *u.site_mut(g) = u.site(g).add(v));
                         stats.span_end(qdd_trace::Phase::DomainSolve);
-                        flops += fl;
                     }
                     stats.span_end(qdd_trace::Phase::ColorSweep);
                 }
@@ -338,6 +329,7 @@ impl<T: Real> SchwarzPreconditioner<T> {
             let sense = Cell::new(false);
             let mut rec = sink.thread(w as u32 + 1);
             rec.begin(qdd_trace::Phase::PoolJob);
+            let mut worker = self.domains.worker();
             let mut flops = 0.0;
             for _ in 0..self.cfg.i_schwarz {
                 for color in DomainColor::ALL {
@@ -352,18 +344,8 @@ impl<T: Real> SchwarzPreconditioner<T> {
                         // this epoch); writes touch only the owned
                         // domain. See `SharedSpinors` contract.
                         let fetch = |i: usize| unsafe { shared.read(i) };
-                        let (schur, z_e, z_o, fl) = self.block_update(dom_idx, f, fetch);
-                        schur.scatter_add_cb_with(
-                            |g, v| unsafe { shared.add(g, v) },
-                            &z_e,
-                            Parity::Even,
-                        );
-                        schur.scatter_add_cb_with(
-                            |g, v| unsafe { shared.add(g, v) },
-                            &z_o,
-                            Parity::Odd,
-                        );
-                        flops += fl;
+                        flops += worker.solve(dom_idx, f, |g| self.op.apply_site_with(g, fetch));
+                        worker.scatter_add(|g, v| unsafe { shared.add(g, v) });
                         rec.end(qdd_trace::Phase::DomainSolve);
                     }
                     rec.end(qdd_trace::Phase::ColorSweep);
@@ -393,54 +375,6 @@ impl<T: Real> SchwarzPreconditioner<T> {
                 * (qdd_dirac::wilson::TOTAL_FLOPS_PER_SITE * v + 4.0 * 96.0 * v / 2.0);
         per_domain * self.grid.num_domains() as f64 * self.cfg.i_schwarz as f64
     }
-}
-
-/// One Schwarz block update: the approximate solve of `D z = (f - A u)|_b`
-/// for a single domain. `au_site` evaluates `(A u)(site)` — the serial
-/// path reads `u` directly, the parallel path through a shared pointer,
-/// the distributed path through local data plus the rank halo. Returns
-/// `(z_even, z_odd, flops)` in checkerboard-index order.
-pub fn schwarz_block_update<T: Real>(
-    schur: &SchurOperator<'_, T>,
-    mr_cfg: &MrConfig,
-    f: &SpinorField<T>,
-    au_site: impl Fn(usize) -> Spinor<T>,
-) -> (Vec<Spinor<T>>, Vec<Spinor<T>>, f64) {
-    let n = schur.cb_len();
-    let mut flops = 0.0;
-
-    // Block residual r = (f - A u)|_domain, per parity.
-    let even_sites = schur.global_cb_indices(Parity::Even);
-    let odd_sites = schur.global_cb_indices(Parity::Odd);
-    let mut r_e = Vec::with_capacity(n);
-    for &g in &even_sites {
-        r_e.push(f.site(g).sub(au_site(g)));
-    }
-    let mut r_o = Vec::with_capacity(n);
-    for &g in &odd_sites {
-        r_o.push(f.site(g).sub(au_site(g)));
-    }
-    flops += qdd_dirac::wilson::TOTAL_FLOPS_PER_SITE * (2 * n) as f64;
-
-    // Schur right-hand side and MR solve for the even half.
-    let mut scratch_odd = vec![Spinor::ZERO; 2 * n];
-    let mut rhs = vec![Spinor::ZERO; n];
-    schur.prepare_rhs(&mut rhs, &r_e, &r_o, &mut scratch_odd);
-    flops += 924.0 * (2 * n) as f64; // half-volume hop + diag-inv
-
-    let mut z_e = vec![Spinor::ZERO; n];
-    let mut mr_r = vec![Spinor::ZERO; n];
-    let mut mr_q = vec![Spinor::ZERO; n];
-    let mr_out =
-        mr_solve_schur(schur, mr_cfg, &mut z_e, &rhs, &mut mr_r, &mut mr_q, &mut scratch_odd);
-    flops += mr_out.flops;
-
-    // Odd half from the even solution.
-    let mut z_o = vec![Spinor::ZERO; n];
-    schur.reconstruct_odd(&mut z_o, &z_e, &r_o);
-    flops += 924.0 * (2 * n) as f64;
-
-    (z_e, z_o, flops)
 }
 
 /// Relative residual `||f - A u|| / ||f||` (diagnostic used by tests and

@@ -13,6 +13,10 @@
 //! iteration count (Sec. II-D). `Doo` is the site-local clover + mass
 //! diagonal, whose 6x6 chiral blocks are inverted once per configuration.
 //!
+//! This scalar AoS form is the reference: the Schwarz sweeps run the
+//! site-fused [`FusedSchur`](crate::fused::FusedSchur) through
+//! `qdd-core::domain_solve`, and tests check them against this one.
+//!
 //! Block vectors are indexed by the *domain-local checkerboard index*
 //! (see [`qdd_lattice::SiteIndexer::cb_index`]). Because domain extents
 //! are even, a site's domain-local parity equals its global parity.
@@ -288,20 +292,6 @@ impl<'a, T: Real> SchurOperator<'a, T> {
             let local = self.block_idx.cb_coord(parity, cb);
             let gsite = self.global_index(&local);
             *field.site_mut(gsite) = field.site(gsite).add(*s);
-        }
-    }
-
-    /// Closure-storing variant of [`Self::scatter_add_cb`]: calls
-    /// `store(global_site, increment)` for every block site.
-    pub fn scatter_add_cb_with<F: FnMut(usize, Spinor<T>)>(
-        &self,
-        mut store: F,
-        v: &[Spinor<T>],
-        parity: Parity,
-    ) {
-        for (cb, s) in v.iter().enumerate() {
-            let local = self.block_idx.cb_coord(parity, cb);
-            store(self.global_index(&local), *s);
         }
     }
 }

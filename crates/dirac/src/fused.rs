@@ -713,38 +713,46 @@ impl<T: Real, const N: usize> FusedKernel<T, N> {
     }
 }
 
-/// The fused even-odd Schur complement of one domain:
-/// `D~ee = Dee - Deo Doo^-1 Doe` entirely on tile vectors.
+/// The fused even-odd Schur complement of one domain,
+/// `D~ee = Dee - Deo Doo^-1 Doe`, entirely on tile vectors: the domain's
+/// gauge links in tile layout, `Dee` on the even tiles only and `Doo^-1`
+/// on the odd tiles only — exactly the constants a block solve reads.
+/// The shape's [`FusedKernel`] holds nothing domain-specific, so it is
+/// shared by all domains and passed in.
+///
+/// Every method names the tiles it reads and writes; `tmp` arguments are
+/// scratch whose odd tiles are overwritten.
 pub struct FusedSchur<T: Real, const N: usize> {
-    kernel: FusedKernel<T, N>,
     gauge: FusedGauge<T, N>,
-    /// `(Nd+m) + Dcl` in fused form.
-    diag: FusedClover<T, N>,
-    /// Its per-site inverse.
-    diag_inv: FusedClover<T, N>,
+    /// `(Nd+m) + Dcl` per even tile.
+    dee: Vec<CloverTile<T, N>>,
+    /// Its inverse per odd tile.
+    doo_inv: Vec<CloverTile<T, N>>,
 }
 
 impl<T: Real, const N: usize> FusedSchur<T, N> {
     /// Assemble from the whole-lattice operator and a domain. Returns
-    /// `None` when a site diagonal is singular.
+    /// `None` when an odd-site diagonal is singular.
     pub fn new(op: &WilsonClover<T>, domain: &Domain) -> Option<Self> {
-        let kernel = FusedKernel::new(domain.dims);
         let gauge = FusedGauge::gather(op, domain);
-        let diag = FusedClover::gather(op, domain);
-        // Inverted diagonal: invert per site then gather.
         let layout = TileLayout::new(domain.dims);
         let tiles = layout.tiles_per_parity();
         let zero = [([VReal::ZERO; 6], [VReal::ZERO; 30]); 2];
-        let mut data = [vec![zero; tiles], vec![zero; tiles]];
+        let mut dee = vec![zero; tiles];
+        let mut doo_inv = vec![zero; tiles];
         let lattice_idx = SiteIndexer::new(*op.dims());
         let block_idx = SiteIndexer::new(domain.dims);
         for local in block_idx.iter() {
             let (p, tile, lane) = layout.locate(&local);
             let gsite = lattice_idx.index(&domain.to_lattice(&local));
-            let inv = op.diag().site(gsite).invert()?;
+            let site = op.diag().site(gsite);
+            let (blocks, dst) = match p {
+                Parity::Even => (site.block, &mut dee[tile]),
+                Parity::Odd => (site.invert()?.block, &mut doo_inv[tile]),
+            };
             for ch in 0..2 {
-                let blk = &inv.block[ch];
-                let (diag_v, off) = &mut data[p.index()][tile][ch];
+                let blk = &blocks[ch];
+                let (diag_v, off) = &mut dst[ch];
                 for i in 0..6 {
                     diag_v[i].0[lane] = blk.diag[i];
                 }
@@ -754,38 +762,84 @@ impl<T: Real, const N: usize> FusedSchur<T, N> {
                 }
             }
         }
-        Some(Self { kernel, gauge, diag, diag_inv: FusedClover { data } })
+        Some(Self { gauge, dee, doo_inv })
     }
 
-    #[inline]
-    pub fn kernel(&self) -> &FusedKernel<T, N> {
-        &self.kernel
+    /// `out(odd) = Doo^-1 inp(odd)`.
+    fn apply_doo_inv(&self, out: &mut FusedField<T, N>, inp: &FusedField<T, N>) {
+        for (tile, d) in self.doo_inv.iter().enumerate() {
+            *out.tile_mut(Parity::Odd, tile) = clover_apply_tile(d, inp.tile(Parity::Odd, tile));
+        }
     }
 
-    /// `out(even) = D~ee inp(even)`; `s1`, `s2` are scratch fused fields.
+    /// `out(even) = D~ee inp(even)`; `out(odd)` holds `Doe inp(even)`
+    /// afterwards and `tmp(odd)` is overwritten.
     pub fn apply_schur(
         &self,
+        kernel: &FusedKernel<T, N>,
         out: &mut FusedField<T, N>,
         inp: &FusedField<T, N>,
-        s1: &mut FusedField<T, N>,
-        s2: &mut FusedField<T, N>,
+        tmp: &mut FusedField<T, N>,
     ) {
-        // s1(odd) = Doe inp(even)
-        self.kernel.hop(s1, inp, &self.gauge, Parity::Even);
-        // s2(odd) = Doo^-1 s1(odd)
-        self.kernel.apply_diag(s2, s1, &self.diag_inv, Parity::Odd);
-        // out(even) = -(Deo s2)(even)  [hop writes, then negate+add diag]
-        self.kernel.hop(out, s2, &self.gauge, Parity::Odd);
-        // s1(even) = Dee inp(even)
-        self.kernel.apply_diag(s1, inp, &self.diag, Parity::Even);
-        let tiles = self.kernel.layout.tiles_per_parity();
-        for tile in 0..tiles {
-            let dee = *s1.tile(Parity::Even, tile);
+        // out(odd) = Doe inp(even); tmp(odd) = Doo^-1 out(odd)
+        kernel.hop(out, inp, &self.gauge, Parity::Even);
+        self.apply_doo_inv(tmp, out);
+        // out(even) = Dee inp(even) - Deo tmp(odd)
+        kernel.hop(out, tmp, &self.gauge, Parity::Odd);
+        for (tile, d) in self.dee.iter().enumerate() {
+            let dee = clover_apply_tile(d, inp.tile(Parity::Even, tile));
             let o = out.tile_mut(Parity::Even, tile);
             for c in 0..24 {
                 o[c] = dee[c].sub(o[c]);
             }
         }
+    }
+
+    /// Schur right-hand side `out(even) = res(even) - Deo Doo^-1 res(odd)`;
+    /// `tmp(odd)` is overwritten.
+    pub fn prepare_rhs(
+        &self,
+        kernel: &FusedKernel<T, N>,
+        out: &mut FusedField<T, N>,
+        res: &FusedField<T, N>,
+        tmp: &mut FusedField<T, N>,
+    ) {
+        self.apply_doo_inv(tmp, res);
+        kernel.hop(out, tmp, &self.gauge, Parity::Odd);
+        for tile in 0..self.dee.len() {
+            let r = res.tile(Parity::Even, tile);
+            let o = out.tile_mut(Parity::Even, tile);
+            for c in 0..24 {
+                o[c] = r[c].sub(o[c]);
+            }
+        }
+    }
+
+    /// Odd half from the even solution, in place:
+    /// `x(odd) = Doo^-1 (res(odd) - Doe x(even))`; `tmp(odd)` is
+    /// overwritten.
+    pub fn reconstruct_odd(
+        &self,
+        kernel: &FusedKernel<T, N>,
+        x: &mut FusedField<T, N>,
+        res: &FusedField<T, N>,
+        tmp: &mut FusedField<T, N>,
+    ) {
+        kernel.hop(tmp, x, &self.gauge, Parity::Even);
+        for tile in 0..self.doo_inv.len() {
+            let r = res.tile(Parity::Odd, tile);
+            let t = tmp.tile_mut(Parity::Odd, tile);
+            for c in 0..24 {
+                t[c] = r[c].sub(t[c]);
+            }
+        }
+        self.apply_doo_inv(x, tmp);
+    }
+
+    /// Nominal flop count of one Schur application (the paper's per-site
+    /// accounting, as [`SchurOperator::schur_flops`](crate::block::SchurOperator::schur_flops)).
+    pub fn schur_flops(&self) -> f64 {
+        crate::wilson::TOTAL_FLOPS_PER_SITE * (2 * N * self.dee.len()) as f64
     }
 }
 
@@ -1022,11 +1076,11 @@ mod tests {
         schur.apply_schur(&mut expect, &in_e, &mut scratch);
 
         let fused = FusedSchur::<f64, 16>::new(&op, &domain).unwrap();
+        let kernel = FusedKernel::<f64, 16>::new(block);
         let inp = fused_from_cb::<f64, 16>(block, &in_e, &zero);
         let mut out = FusedField::<f64, 16>::zeros(block);
-        let mut s1 = FusedField::<f64, 16>::zeros(block);
-        let mut s2 = FusedField::<f64, 16>::zeros(block);
-        fused.apply_schur(&mut out, &inp, &mut s1, &mut s2);
+        let mut tmp = FusedField::<f64, 16>::zeros(block);
+        fused.apply_schur(&kernel, &mut out, &inp, &mut tmp);
         let (got_e, _) = fused_to_cb::<f64, 16>(&out, block);
         for cb in 0..n {
             let d = got_e[cb].sub(expect[cb]);

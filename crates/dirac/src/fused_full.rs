@@ -187,8 +187,7 @@ pub fn build_full_operator_tuned<T: Real>(
     if dims.0.iter().any(|&e| e % 2 != 0) {
         return None;
     }
-    let lanes = dims.0[0] * dims.0[1] / 2;
-    Some(match lanes {
+    Some(match qdd_lattice::fused_lanes(&dims).ok()? {
         2 => Box::new(FusedFullOperator::<T, 2>::with_tuning(op, tuning)),
         4 => Box::new(FusedFullOperator::<T, 4>::with_tuning(op, tuning)),
         8 => Box::new(FusedFullOperator::<T, 8>::with_tuning(op, tuning)),

@@ -195,6 +195,18 @@ impl<T: Real, const N: usize> FusedField<T, N> {
         &mut self.data[parity.index()][tile]
     }
 
+    /// One parity's tiles.
+    #[inline]
+    pub fn parity(&self, parity: Parity) -> &[FusedTile<T, N>] {
+        &self.data[parity.index()]
+    }
+
+    /// One parity's tiles, mutably.
+    #[inline]
+    pub fn parity_mut(&mut self, parity: Parity) -> &mut [FusedTile<T, N>] {
+        &mut self.data[parity.index()]
+    }
+
     /// Both parities' tile storage as disjoint mutable slices (even, odd),
     /// for callers that fill tiles of both parities concurrently.
     #[inline]
@@ -208,14 +220,8 @@ impl<T: Real, const N: usize> FusedField<T, N> {
         let mut out = Self::zeros(block);
         let idx = SiteIndexer::new(block);
         for c in idx.iter() {
-            let s = field[idx.index(&c)];
             let (p, tile, lane) = out.layout.locate(&c);
-            let t = out.tile_mut(p, tile);
-            for k in 0..12 {
-                let z = s.component(k);
-                t[2 * k].0[lane] = z.re;
-                t[2 * k + 1].0[lane] = z.im;
-            }
+            out.set_lane(p, tile, lane, &field[idx.index(&c)]);
         }
         out
     }
@@ -227,15 +233,22 @@ impl<T: Real, const N: usize> FusedField<T, N> {
         assert_eq!(field.len(), block.volume());
         for c in idx.iter() {
             let (p, tile, lane) = self.layout.locate(&c);
-            let t = self.tile(p, tile);
-            let s = &mut field[idx.index(&c)];
-            for k in 0..12 {
-                s.set_component(k, Complex::new(t[2 * k].0[lane], t[2 * k + 1].0[lane]));
-            }
+            field[idx.index(&c)] = self.lane_spinor(p, tile, lane);
         }
     }
 
-    /// Read one lane back as a spinor (testing / debugging).
+    /// Write one spinor into one lane.
+    #[inline]
+    pub fn set_lane(&mut self, parity: Parity, tile: usize, lane: usize, s: &Spinor<T>) {
+        let t = self.tile_mut(parity, tile);
+        for k in 0..12 {
+            let z = s.component(k);
+            t[2 * k].0[lane] = z.re;
+            t[2 * k + 1].0[lane] = z.im;
+        }
+    }
+
+    /// Read one lane back as a spinor.
     pub fn lane_spinor(&self, parity: Parity, tile: usize, lane: usize) -> Spinor<T> {
         let t = self.tile(parity, tile);
         let mut s = Spinor::ZERO;

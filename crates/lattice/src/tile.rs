@@ -31,6 +31,40 @@ pub enum LaneSrc {
     Boundary(usize),
 }
 
+/// Lane counts the fused tile kernels are compiled for: every power of
+/// two from 2 (a 2x2 cross-section) to 128 (16x16).
+pub const FUSED_LANES: [usize; 7] = [2, 4, 8, 16, 32, 64, 128];
+
+/// A block shape whose xy cross-section has no compiled fused kernel: odd
+/// x extent, or a lane count `bx*by/2` outside [`FUSED_LANES`].
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+pub struct UnsupportedBlock(pub Dims);
+
+impl std::fmt::Display for UnsupportedBlock {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let [bx, by, _, _] = self.0 .0;
+        write!(
+            f,
+            "block {} has no fused kernel: the xy lane count bx*by/2 = {bx}*{by}/2 must be \
+             one of {FUSED_LANES:?} with bx even",
+            self.0
+        )
+    }
+}
+
+impl std::error::Error for UnsupportedBlock {}
+
+/// The fused lane count of a block shape, or why it has none.
+pub fn fused_lanes(block: &Dims) -> Result<usize, UnsupportedBlock> {
+    let [bx, by, _, _] = block.0;
+    let lanes = bx * by / 2;
+    if bx % 2 == 0 && FUSED_LANES.contains(&lanes) {
+        Ok(lanes)
+    } else {
+        Err(UnsupportedBlock(*block))
+    }
+}
+
 /// Site-fused tile layout for one domain shape.
 #[derive(Clone, Debug)]
 pub struct TileLayout {
@@ -211,6 +245,19 @@ mod tests {
 
     fn paper_layout() -> TileLayout {
         TileLayout::new(Dims::new(8, 4, 4, 4))
+    }
+
+    #[test]
+    fn fused_lanes_admits_only_compiled_kernels() {
+        assert_eq!(fused_lanes(&Dims::new(8, 4, 4, 4)), Ok(16));
+        assert_eq!(fused_lanes(&Dims::new(2, 2, 2, 2)), Ok(2));
+        assert_eq!(fused_lanes(&Dims::new(16, 16, 2, 2)), Ok(128));
+        for bad in [Dims::new(6, 2, 2, 2), Dims::new(4, 6, 2, 2), Dims::new(3, 4, 2, 2)] {
+            let err = fused_lanes(&bad).unwrap_err();
+            assert_eq!(err, UnsupportedBlock(bad));
+            assert!(err.to_string().contains("[2, 4, 8, 16, 32, 64, 128]"), "{err}");
+        }
+        assert!(fused_lanes(&Dims::new(16, 32, 2, 2)).is_err());
     }
 
     #[test]

@@ -30,6 +30,7 @@
 //! additionally deterministic in its fault schedule for a fixed
 //! `--fault-seed` (default: the `QDD_FAULT_SEED` environment variable).
 
+use lattice_qcd_dd::lattice::fused_lanes;
 use lattice_qcd_dd::prelude::*;
 use lattice_qcd_dd::serve::{
     serve_with_flight, ConfigKey, ServeStatus, ServiceConfig, SolveRequest, SubmitError,
@@ -115,6 +116,9 @@ fn cmd_solve(args: &Args) -> Result<(), String> {
     }
     if solver_kind == "dd" && block.0.iter().any(|b| b % 2 != 0) {
         return Err(format!("block extents must be even, got {block}"));
+    }
+    if solver_kind == "dd" {
+        fused_lanes(&block).map_err(|e| e.to_string())?;
     }
     println!("building synthetic configuration on {dims} (spread {spread}, seed {seed}) ...");
     let mut rng = Rng64::new(seed);
@@ -236,6 +240,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     if !dims.divisible_by(&block) {
         return Err(format!("block {block} does not tile lattice {dims}"));
     }
+    fused_lanes(&block).map_err(|e| e.to_string())?;
     if configs == 0 {
         return Err("--configs must be positive".into());
     }
@@ -403,6 +408,7 @@ fn cmd_serve_sharded(args: &Args) -> Result<(), String> {
     if !dims.divisible_by(&block) {
         return Err(format!("block {block} does not tile lattice {dims}"));
     }
+    fused_lanes(&block).map_err(|e| e.to_string())?;
     if !dims.divisible_by(&ranks) {
         return Err(format!("rank grid {ranks} does not tile lattice {dims}"));
     }
@@ -600,6 +606,7 @@ fn cmd_chaos(args: &Args) -> Result<(), String> {
     if block.0.iter().any(|b| b % 2 != 0) {
         return Err(format!("block extents must be even, got {block}"));
     }
+    fused_lanes(&block).map_err(|e| e.to_string())?;
 
     println!(
         "chaos solve on {dims} over {} rank(s) {ranks}; faults: loss {:.3} corrupt {:.3} \
@@ -934,5 +941,22 @@ fn main() -> ExitCode {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str]) -> Args {
+        Args::parse(&list.iter().map(|s| s.to_string()).collect::<Vec<_>>()).unwrap()
+    }
+
+    #[test]
+    fn solve_rejects_a_block_without_a_fused_kernel() {
+        // 4x6 cross-section: 12 lanes, even extents, tiles the lattice.
+        let err = cmd_solve(&args(&["--dims", "8,12,4,4", "--block", "4,6,2,2"])).unwrap_err();
+        assert!(err.contains("has no fused kernel"), "{err}");
+        assert!(err.contains("[2, 4, 8, 16, 32, 64, 128]"), "{err}");
     }
 }
